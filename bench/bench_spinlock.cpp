@@ -72,8 +72,8 @@ void BM_RememberedSetStyleCheck(benchmark::State &State) {
 BENCHMARK(BM_RememberedSetStyleCheck);
 
 void BM_IpcRoundTrip(benchmark::State &State) {
-  // One server thread replies to every request: the Send/Receive/Reply
-  // cycle the scavenge rendezvous is built from.
+  // One server thread replies to every request: the V Send/Receive/Reply
+  // cycle MS built its scavenge rendezvous from.
   IpcChannel Chan;
   std::atomic<bool> Stop{false};
   std::thread Server([&] {

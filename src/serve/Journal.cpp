@@ -381,7 +381,7 @@ bool Journal::sync(std::string &Error) {
   }
   // fdatasync, not fsync: an append-only log needs the data and the file
   // size durable, not timestamps — on ext4 that skips a second metadata
-  // journal commit per batch, and this call sits on the courier's
+  // journal commit per batch, and this call sits on the shard's
   // critical path between append and execute.
   if (::fdatasync(Fd) != 0) {
     Error = std::string("journal fsync failed: ") + std::strerror(errno);
@@ -609,24 +609,14 @@ void DedupTable::insert(uint64_t Client, uint64_t Seq, Response R) {
   }
 }
 
-namespace {
-uint64_t flightKey(uint64_t Client, uint64_t Seq) {
-  // Mixed key rather than a pair-set: a client retiring seq S while
-  // another client is on the same S must not collide, and golden-ratio
-  // mixing of both words keeps accidental collisions vanishingly rare
-  // for the bounded window of pairs in flight at once.
-  return (Client * 0x9e3779b97f4a7c15ull) ^ (Seq + 0x632be59bd9b4e019ull);
-}
-} // namespace
-
 bool DedupTable::markInFlight(uint64_t Client, uint64_t Seq) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return InFlight.insert(flightKey(Client, Seq)).second;
+  return InFlight.emplace(Client, Seq).second;
 }
 
 void DedupTable::clearInFlight(uint64_t Client, uint64_t Seq) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  InFlight.erase(flightKey(Client, Seq));
+  InFlight.erase({Client, Seq});
 }
 
 size_t DedupTable::size() {

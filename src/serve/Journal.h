@@ -11,10 +11,10 @@
 /// per-shard append-only write-ahead log that makes acknowledged requests
 /// reproducible across any crash:
 ///
-///  - **Intent records** are appended by the courier for every Eval in a
-///    batch and fsynced once per batch *before* the batch crosses the
-///    IpcChannel — piggybacking the sync on the batch boundary keeps the
-///    steady-state cost to one fsync per channel crossing.
+///  - **Intent records** are appended by the shard thread for every Eval
+///    in a batch and fsynced once per batch *before* any of it executes —
+///    piggybacking the sync on the batch boundary keeps the steady-state
+///    cost to one fsync per batch.
 ///  - **Outcome records** are appended by the shard thread as each request
 ///    resolves (Executed / TimedOut / SkippedExpired / SkippedCrash) and
 ///    ride the *next* batch's fsync. A process crash can tear them off;
@@ -54,9 +54,10 @@
 #include <deque>
 #include <list>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace mst {
@@ -135,7 +136,7 @@ public:
   /// leaves either the old or the new file). Positions are preserved:
   /// the new file's base is \p Mark. Call only after the checkpoint
   /// covering \p Mark has committed (its rename landed), and only from
-  /// the shard thread while the courier is parked. The
+  /// the shard thread, between batches. The
   /// `journal.truncate.fail` chaos point fails it; the journal then just
   /// stays longer — replay remains correct.
   bool truncateBelow(uint64_t Mark, std::string &Error);
@@ -214,7 +215,7 @@ private:
   size_t Entries = 0;
   std::unordered_map<uint64_t, ClientEntry> Clients;
   std::list<uint64_t> ClientOrder; ///< client insertion order (FIFO)
-  std::unordered_set<uint64_t> InFlight; ///< (Client<<20 ^ Seq) — see .cpp
+  std::set<std::pair<uint64_t, uint64_t>> InFlight; ///< (Client, Seq)
 };
 
 } // namespace serve

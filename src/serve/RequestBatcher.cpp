@@ -34,6 +34,8 @@ bool RequestBatcher::takeBatch(Batch &Out, size_t Max) {
   for (size_t I = 0; I < N; ++I) {
     Out.push_back(std::move(Queue.front()));
     Queue.pop_front();
+    if (Out.back().Kind != Request::Kind::Eval)
+      break; // a control request ends its batch
   }
   return true;
 }

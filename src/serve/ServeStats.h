@@ -6,14 +6,14 @@
 ///
 /// \file
 /// The serving layer's registry entries, gathered in one struct owned by
-/// the Server so every shard/courier increments the same instances. All
+/// the Server so every shard increments the same instances. All
 /// of them aggregate by name through the process-wide Telemetry registry,
 /// so they appear in writeTelemetryJson, the admin health report, and the
 /// BENCH_*.json artifacts without further plumbing:
 ///
 ///   serve.requests          requests completed (counter)
 ///   serve.errors            requests answered ERR (counter)
-///   serve.batches           batches carried through IpcChannels (counter)
+///   serve.batches           batches the shard threads took (counter)
 ///   serve.shard.restarts    shard crash/restart cycles (counter)
 ///   serve.deadline.expired  request deadlines that expired (counter)
 ///   serve.aborts            in-VM aborts delivered to runaways (counter)
@@ -84,8 +84,8 @@ struct ServeStats {
                              std::memory_order_relaxed);
                        }};
   /// Requests sitting in batchers right now (pushed, not yet taken by a
-  /// courier). Shards increment on successful push; couriers subtract
-  /// whole batches.
+  /// shard thread). Shards increment on successful push and subtract
+  /// whole batches as they take them.
   std::atomic<uint64_t> QueuedNow{0};
   Gauge QueueDepth{"serve.queue.depth", [this] {
                      return QueuedNow.load(std::memory_order_relaxed);

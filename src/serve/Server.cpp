@@ -25,7 +25,7 @@ using namespace mst;
 using namespace mst::serve;
 
 namespace {
-// Same clock the couriers stamp completions with — serve.latency is the
+// Same clock the shards stamp completions with — serve.latency is the
 // difference, so the two sides must share an epoch.
 uint64_t nowNs() { return Telemetry::nowNs(); }
 
@@ -40,7 +40,7 @@ Server::Server(ServerConfig C) : Config(std::move(C)) {}
 Server::~Server() { stop(); }
 
 bool Server::start(std::string &Error) {
-  // Shard couriers publish finished batches here; the pipe write makes
+  // Shard threads publish finished batches here; the pipe write makes
   // poll() return so the loop can flush them to sockets.
   Pool = std::make_unique<ShardPool>(
       Config.Pool,
@@ -211,7 +211,7 @@ void Server::loopMain() {
     if (N < 0 && errno != EINTR)
       break;
 
-    // Wake pipe: drain it, then flush courier responses.
+    // Wake pipe: drain it, then flush shard responses.
     if (Fds[0].revents & POLLIN) {
       char Buf[256];
       while (read(WakeRd, Buf, sizeof Buf) > 0)

@@ -9,8 +9,8 @@
 /// life (SessionId % shards): every doIt a session evaluates sees the
 /// same image, so `Smalltalk at: #X put:` in request 1 is visible to
 /// request 2. Sessions are owned and touched exclusively by the event-
-/// loop thread; couriers hand responses over through the Server's queue,
-/// never through this struct.
+/// loop thread; shard threads hand responses over through the Server's
+/// queue, never through this struct.
 ///
 /// Flow control: a session may pipeline requests, but past MaxPipeline
 /// outstanding the server parks its POLLIN (Paused) until responses

@@ -13,6 +13,8 @@
 #include "image/Snapshot.h"
 #include "objmem/Safepoint.h"
 #include "obs/Profiler.h"
+#include "obs/TraceBuffer.h"
+#include "support/Assert.h"
 #include "vkernel/Chaos.h"
 
 using namespace mst;
@@ -31,8 +33,8 @@ Shard::~Shard() { stop(); }
 
 void Shard::start() {
   if (!Config.JournalPath.empty()) {
-    // Open before either thread exists: the courier appends intents from
-    // its very first batch. A journal that cannot open disables
+    // Open before the shard thread exists: it appends intents from its
+    // very first batch. A journal that cannot open disables
     // journaling rather than the shard — the crash ladder then behaves
     // exactly as without one, which is degraded, not broken.
     Jrnl = std::make_unique<Journal>();
@@ -45,7 +47,6 @@ void Shard::start() {
     }
   }
   ShardThread = std::thread([this] { shardMain(); });
-  CourierThread = std::thread([this] { courierMain(); });
   WatchdogThread = std::thread([this] { watchdogMain(); });
 }
 
@@ -75,9 +76,6 @@ void Shard::stop() {
     // the Server, so just fall through when the threads are gone.
   }
   Batcher.close();
-  if (CourierThread.joinable())
-    CourierThread.join();
-  Channel.shutdown();
   if (ShardThread.joinable())
     ShardThread.join();
   // The watchdog outlives the shard thread: drained requests with
@@ -247,14 +245,18 @@ void Shard::teardownVm() {
 void Shard::processBatch(Batch &B) {
   for (size_t I = 0; I < B.size(); ++I) {
     QueuedRequest &Q = B[I];
+    assert((Q.Kind == Request::Kind::Eval || I + 1 == B.size()) &&
+           "a control request ends its batch");
     if (Q.Done)
-      continue; // answered by the courier (dedup hit / journal refusal)
+      continue; // answered before execution (dedup hit / journal refusal)
     if (Q.Kind == Request::Kind::Kill) {
       Q.Done = true;
       Q.Ok = true;
       Q.Value = "shard " + std::to_string(Config.Index) +
                 " killed; restarting from last committed checkpoint";
-      failFrom(B, I + 1);
+      // Nothing follows the kill in its batch; the batch's refusals must
+      // still be durable before restartVm's tear drill.
+      syncRefusals();
       restartVm("admin kill");
       return;
     }
@@ -283,48 +285,11 @@ void Shard::processBatch(Batch &B) {
         Q.Value = "shard " + std::to_string(Config.Index) +
                   ": checkpointing disabled";
       } else {
-        if (journaled()) {
-          // Mid-batch checkpoint: everything executed so far has its
-          // outcome below endPos, but this batch's *unexecuted* intents
-          // are below it too (the courier appends the whole batch up
-          // front). Freeze the mark, then re-journal the unexecuted tail
-          // above it, so replay-from-mark re-sees exactly the work this
-          // image will not contain.
+        // The batcher ends every batch at its control request, so all of
+        // this batch's work has executed and the mark covers exactly what
+        // the image will contain.
+        if (journaled())
           PendingMark = Jrnl->endPos();
-          bool ReAppended = false;
-          for (size_t J = I + 1; J < B.size(); ++J) {
-            QueuedRequest &T = B[J];
-            if (T.Kind != Request::Kind::Eval || T.Done ||
-                T.JournalId == 0)
-              continue;
-            std::string Err;
-            // Retire the original intent first: a replay from an older
-            // fallback mark must not run both it and its copy. Counts
-            // toward the sync below — an unsynced retirement could tear
-            // off and resurrect the original.
-            if (Jrnl->appendOutcome(T.JournalId, T.ClientId, T.ClientSeq,
-                                    T.HasSeq,
-                                    Journal::Outcome::SkippedCrash, false,
-                                    "superseded by re-journal", Err))
-              ReAppended = true;
-            uint64_t NewId = 0;
-            if (Jrnl->appendIntent(T.ClientId, T.ClientSeq, T.HasSeq,
-                                   T.Source, NewId, Err)) {
-              T.JournalId = NewId;
-              Stats.JournalAppends.add();
-              ReAppended = true;
-            } else {
-              Stats.JournalAppendFailures.add();
-            }
-          }
-          if (ReAppended) {
-            std::string Err;
-            if (Jrnl->sync(Err))
-              Stats.JournalFsyncs.add();
-            else
-              Stats.JournalFsyncFailures.add();
-          }
-        }
         std::string Err;
         Q.Ok = Ck->checkpointNow(Err);
         if (Q.Ok) {
@@ -501,27 +466,42 @@ void Shard::shardMain() {
   ReadyCv.notify_all();
 
   for (;;) {
-    uint64_t Bits = 0;
-    IpcChannel::MessageHandle H;
+    Batch B;
     {
-      // Parked between batches counts as safe: the periodic checkpointer
-      // (or any service thread) can stop this shard's world meanwhile.
+      // Waiting for work and writing the batch's intents count as safe:
+      // the periodic checkpointer (or any service thread) can stop this
+      // shard's world meanwhile.
       BlockedRegion Blocked(VM->memory().safepoint());
-      H = Channel.receive(Bits);
+      {
+        TraceSpan Wait("serve.shard.wait", "serve");
+        ProfStateScope Idle(ProfState::Idle);
+        if (!Batcher.takeBatch(B, Config.MaxBatch))
+          break; // closed and drained: graceful exit
+      }
+      Stats.QueuedNow.fetch_sub(B.size(), std::memory_order_relaxed);
+      Stats.Batches.add();
+      Stats.BatchSize.record(B.size());
+      // WAL discipline: every Eval's intent is on disk (and fsynced, once
+      // for the whole batch) before any of it executes — an OK can then
+      // always be re-derived from checkpoint + journal.
+      if (journaled())
+        prepareBatchJournal(B);
     }
-    if (!H)
-      break; // channel shut down: graceful exit
-    Batch *B = reinterpret_cast<Batch *>(static_cast<uintptr_t>(Bits));
-    processBatch(*B);
+    processBatch(B);
     // Any refusal this batch produced (deadline expiries, timeouts) is
-    // on disk before the reply releases its ERR to the client.
+    // on disk before its ERR reaches the client.
     syncRefusals();
-    // Journaled shards auto-checkpoint here, before the reply releases
-    // the courier: the journal is quiescent, so the recorded mark covers
-    // exactly what the image contains.
+    // Journaled shards auto-checkpoint here, between batches: the journal
+    // is quiescent, so the recorded mark covers exactly what the image
+    // contains.
     maybeAutoCheckpoint();
     BatchCount.fetch_add(1, std::memory_order_relaxed);
-    Channel.reply(H, B->size());
+    uint64_t Now = Telemetry::nowNs();
+    for (const QueuedRequest &Q : B)
+      Stats.Latency.record(Now - Q.EnqueueNs);
+    if (journaled())
+      finishBatchJournal(B);
+    Sink(std::move(B));
   }
 
   // Graceful lifecycle: SIGTERM/stop() checkpoints every shard before
@@ -541,41 +521,6 @@ void Shard::shardMain() {
   }
   teardownVm();
   setState("stopped");
-}
-
-void Shard::courierMain() {
-  for (;;) {
-    auto B = std::make_unique<Batch>();
-    if (!Batcher.takeBatch(*B, Config.MaxBatch))
-      break; // closed and drained
-    Stats.QueuedNow.fetch_sub(B->size(), std::memory_order_relaxed);
-    Stats.Batches.add();
-    Stats.BatchSize.record(B->size());
-    // WAL discipline: every Eval's intent is on disk (and fsynced, once
-    // for the whole batch) before the batch crosses the channel — an OK
-    // can then always be re-derived from checkpoint + journal.
-    if (journaled())
-      prepareBatchJournal(*B);
-    chaos::point("serve.courier.send");
-    (void)Channel.send(static_cast<uint64_t>(
-        reinterpret_cast<uintptr_t>(B.get())));
-    // The shard filled results in place (or the channel shut down under
-    // us and nobody did — mark those, don't drop them).
-    uint64_t Now = Telemetry::nowNs();
-    for (QueuedRequest &Q : *B) {
-      if (!Q.Done) {
-        Q.Done = true;
-        Q.Ok = false;
-        Q.Value = "shard " + std::to_string(Config.Index) +
-                  " unavailable (shutting down)";
-        Stats.Errors.add();
-      }
-      Stats.Latency.record(Now - Q.EnqueueNs);
-    }
-    if (journaled())
-      finishBatchJournal(*B);
-    Sink(std::move(*B));
-  }
 }
 
 void Shard::prepareBatchJournal(Batch &B) {
@@ -600,7 +545,7 @@ void Shard::prepareBatchJournal(Batch &B) {
         continue;
       }
       if (!Dedup.markInFlight(Q.ClientId, Q.ClientSeq)) {
-        // The original is still somewhere between journal and reply;
+        // The original is still somewhere between journal and response;
         // executing the resend too would double-apply it.
         Q.Done = true;
         Q.Ok = false;
@@ -674,8 +619,8 @@ void Shard::appendOutcomeFor(QueuedRequest &Q, Journal::Outcome Out) {
                           Out, Q.Ok, Q.Value, Err)) {
     Stats.JournalAppends.add();
     // Refusals must reach disk before their ERR escapes (syncRefusals
-    // runs before every reply and before the crash ladder's tear
-    // window); Executed outcomes ride the next batch fsync.
+    // runs before every batch goes back and before the crash ladder's
+    // tear window); Executed outcomes ride the next batch fsync.
     if (Out != Journal::Outcome::Executed)
       RefusalPending = true;
   } else {

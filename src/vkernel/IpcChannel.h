@@ -6,9 +6,12 @@
 ///
 /// \file
 /// The V kernel's message-passing IPC in miniature: a synchronous
-/// Send/Receive/Reply channel. MS uses this (together with a global flag)
+/// Send/Receive/Reply channel. MS used it (together with a global flag)
 /// to synchronize all interpreter processes for garbage collection, because
-/// scavenging takes too long for spin-locks (paper §3.1).
+/// scavenging takes too long for spin-locks (paper §3.1). Here Safepoint
+/// does that job with a flag and a condition variable; the channel stays
+/// as the V primitive, exercised by its tests and the IPC round-trip
+/// benchmarks.
 ///
 /// Semantics follow V: Send blocks the sender until the receiver Replies;
 /// Receive blocks until a message is available and returns a handle the

@@ -70,9 +70,11 @@ public:
 
 private:
   std::string tempName(unsigned I) const {
+    // Appends rather than "lit" + std::string: GCC 12 raises a false
+    // -Wrestrict on the inlined insert(0, ...) that operator+ uses.
     if (I < NumArgs)
-      return "arg" + std::to_string(I + 1);
-    return "t" + std::to_string(I + 1 - NumArgs);
+      return std::string("arg").append(std::to_string(I + 1));
+    return std::string("t").append(std::to_string(I + 1 - NumArgs));
   }
 
   std::string ivarName(unsigned I) const {
@@ -248,7 +250,10 @@ private:
       if (Ip + 3 > To || static_cast<Op>(Code[Ip]) != Op::StoreTemp ||
           static_cast<Op>(Code[Ip + 2]) != Op::Pop)
         return false;
-      Params = ":" + tempName(Code[Ip + 1]) + " " + Params;
+      Params = std::string(":")
+                   .append(tempName(Code[Ip + 1]))
+                   .append(" ")
+                   .append(Params);
       BlockParamSlots.push_back(Code[Ip + 1]);
       Ip += 3;
     }
@@ -257,7 +262,7 @@ private:
       return false;
     Out = "[";
     if (NArgs)
-      Out += Params + "| ";
+      Out.append(Params).append("| ");
     for (size_t I = 0; I < Stmts.size(); ++I) {
       if (I)
         Out += ". ";
@@ -289,8 +294,10 @@ private:
       unsigned A = 0;
       for (size_t I = 0; I < Sel.size(); ++I) {
         if (Sel[I] == ':') {
-          Expr += " " + Sel.substr(Start, I - Start + 1) + " " +
-                  paren(Args[A++]);
+          Expr.append(" ")
+              .append(Sel, Start, I - Start + 1)
+              .append(" ")
+              .append(paren(Args[A++]));
           Start = I + 1;
         }
       }

@@ -611,10 +611,12 @@ std::string ObjectModel::describe(Oop O) const {
   if (O.isSmallInt())
     return std::to_string(O.smallInt());
   Oop Cls = classOf(O);
+  // Appends rather than "lit" + std::string: GCC 12 raises a false
+  // -Wrestrict on the inlined insert(0, ...) that operator+ uses.
   if (Cls == K.ClassSymbol)
-    return "#" + stringValue(O);
+    return std::string("#").append(stringValue(O));
   if (Cls == K.ClassString)
-    return "'" + stringValue(O) + "'";
+    return std::string("'").append(stringValue(O)).append("'");
   if (Cls == K.ClassCharacter) {
     intptr_t V = ObjectMemory::fetchPointer(O, CharValue).smallInt();
     return std::string("$") + static_cast<char>(V);

@@ -156,6 +156,9 @@ void VirtualMachine::clearAbort() { Driver->clearAbort(); }
 
 Oop VirtualMachine::buildBottomContext(Oop Method, Oop Receiver) {
   assert(Method.object()->isOld() && "methods are compiled into old space");
+  // Both stay rooted across the allocation below: a full collection there
+  // would otherwise sweep a doIt method that nothing else references.
+  Handle MethodHandle(OM->handles(), Method);
   Handle RecvHandle(OM->handles(), Receiver);
   intptr_t NumTemps =
       ObjectMemory::fetchPointer(Method, MthNumTemps).smallInt();
@@ -174,7 +177,7 @@ Oop VirtualMachine::buildBottomContext(Oop Method, Oop Receiver) {
   Oop *NS = N->slots();
   NS[CtxSender] = Om->nil();
   NS[CtxIp] = Oop::fromSmallInt(0);
-  NS[CtxMethod] = Method;
+  NS[CtxMethod] = MethodHandle.get();
   NS[CtxReceiver] = RecvHandle.get();
   OM->writeBarrier(N, RecvHandle.get());
   NS[CtxSp] = Oop::fromSmallInt(CtxFixedSlots + NumTemps - 1);

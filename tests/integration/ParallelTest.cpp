@@ -51,7 +51,10 @@ TEST(ParallelTest, ManyProcessesAllComplete) {
         + std::to_string(I + 1) +
         "]. c size = 200 ifTrue: [nil hostSignal: " + std::to_string(Sig) +
         "]";
-    ASSERT_FALSE(T.vm().forkDoIt(Src, 5, "w" + std::to_string(I)).isNull());
+    // Appended, not "w" + std::string: GCC 12 raises a false -Wrestrict
+    // on the inlined insert(0, ...) behind that operator+.
+    std::string Name = std::string("w").append(std::to_string(I));
+    ASSERT_FALSE(T.vm().forkDoIt(Src, 5, Name).isNull());
   }
   EXPECT_TRUE(T.vm().waitHostSignal(Sig, N, 60.0));
   EXPECT_TRUE(T.vm().errors().empty()) << T.vm().errors().front();

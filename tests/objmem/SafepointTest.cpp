@@ -189,8 +189,10 @@ TEST(SafepointTest, MutatorRegisteringMidRendezvousIsGathered) {
 
   std::atomic<bool> LateParked{false};
   std::thread Late([&] {
-    // Wait for the global flag: the pause is pending by then.
-    while (!Sp.pollNeeded())
+    // Wait for the global flag: the pause is pending by then. The whole
+    // pause can also come and go while this thread is descheduled; then
+    // it registers afterwards, and waiting for the flag would hang.
+    while (!Sp.pollNeeded() && Sp.pauseCount() == 0)
       std::this_thread::yield();
     Sp.registerMutator();
     // First poll parks us until the pause completes.

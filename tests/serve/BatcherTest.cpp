@@ -7,6 +7,7 @@
 #include "serve/RequestBatcher.h"
 
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,6 +49,31 @@ TEST(RequestBatcher, MaxBatchSplits) {
   ASSERT_TRUE(B.takeBatch(Out, 4));
   ASSERT_EQ(Out.size(), 3u); // remainder, still FIFO
   EXPECT_EQ(Out[0].Seq, 4u);
+}
+
+TEST(RequestBatcher, ControlRequestEndsItsBatch) {
+  RequestBatcher B;
+  const Request::Kind Kinds[] = {
+      Request::Kind::Eval, Request::Kind::Eval, Request::Kind::Checkpoint,
+      Request::Kind::Eval, Request::Kind::Kill, Request::Kind::Kill,
+      Request::Kind::Eval};
+  for (uint64_t I = 0; I < 7; ++I) {
+    QueuedRequest Q = req(1, I);
+    Q.Kind = Kinds[I];
+    ASSERT_TRUE(B.push(std::move(Q)));
+  }
+  // Each batch runs up to and including its first control request; the
+  // rest stays queued in FIFO order.
+  const std::vector<std::vector<uint64_t>> Want = {{0, 1, 2}, {3, 4}, {5},
+                                                   {6}};
+  Batch Out;
+  for (const std::vector<uint64_t> &Seqs : Want) {
+    ASSERT_TRUE(B.takeBatch(Out, 256));
+    ASSERT_EQ(Out.size(), Seqs.size());
+    for (size_t I = 0; I < Seqs.size(); ++I)
+      EXPECT_EQ(Out[I].Seq, Seqs[I]);
+  }
+  EXPECT_EQ(B.depth(), 0u);
 }
 
 TEST(RequestBatcher, TakeBatchBlocksUntilPush) {

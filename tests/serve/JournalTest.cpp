@@ -256,6 +256,10 @@ TEST(JournalTest, DedupTableCachesBoundsAndTracksInFlight) {
   EXPECT_TRUE(D.markInFlight(9, 2)); // distinct seq unaffected
   D.clearInFlight(9, 1);
   EXPECT_TRUE(D.markInFlight(9, 1));
+
+  // Distinct pairs never collide, whatever the client picks for its ids.
+  EXPECT_TRUE(D.markInFlight(1, 1));
+  EXPECT_TRUE(D.markInFlight(2, 6793268496247915532ull));
 }
 
 } // namespace

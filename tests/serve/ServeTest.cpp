@@ -604,6 +604,77 @@ TEST(ServeJournal, KillBetweenCheckpointCommitAndTruncationConverges) {
   S.stop();
 }
 
+// A `!checkpoint` or `!kill` always ends its batch. One write pipelines
+// seq'd increments around both, then reads the counter back: the
+// checkpoint's journal mark must cover exactly the increments before it,
+// and replay after the kill must re-apply exactly the ones after it.
+void pipelinedCheckpointAndKillCountOnce(bool FailTruncate) {
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(1, DataDir);
+  Config.Pool.Journal = true;
+  Config.Pool.KeepGenerations = 0; // the checkpoint truncates for real
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  Client C;
+  ASSERT_TRUE(C.connect(S.port()));
+  ASSERT_TRUE(C.bindSession(5));
+  bool Ok = false;
+  std::string Value;
+  ASSERT_TRUE(C.eval("Smalltalk at: #N put: 0", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+
+  const unsigned PerSide = 4;
+  std::string Burst;
+  uint64_t Seq = 100;
+  auto AddIncrements = [&] {
+    for (unsigned I = 0; I < PerSide; ++I) {
+      Burst += "@?seq=";
+      Burst += std::to_string(++Seq);
+      Burst += " Smalltalk at: #N put: (Smalltalk at: #N) + 1\n";
+    }
+  };
+  AddIncrements();
+  Burst += "!checkpoint\n";
+  AddIncrements();
+  Burst += "!kill 0\nSmalltalk at: #N";
+
+  if (FailTruncate)
+    chaos::armFail("journal.truncate.fail", 1000, 99);
+  ASSERT_TRUE(C.sendLine(Burst));
+  unsigned Acked = 0;
+  std::string Line, Tag;
+  for (unsigned I = 0; I < 2 * PerSide + 2; ++I) {
+    ASSERT_TRUE(C.recvLine(Line, 120.0)) << "response " << I;
+    ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value)) << Line;
+    if (I == PerSide || I == 2 * PerSide + 1)
+      EXPECT_TRUE(Ok) << "control request " << I << ": " << Value;
+    else if (Ok)
+      ++Acked;
+  }
+  ASSERT_TRUE(C.recvLine(Line, 120.0));
+  ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value)) << Line;
+  if (FailTruncate) {
+    EXPECT_GE(chaos::failCount("journal.truncate.fail"), 1u);
+    chaos::disarmFail();
+  }
+  ASSERT_TRUE(Ok) << Value;
+  EXPECT_EQ(Acked, 2 * PerSide);
+  EXPECT_EQ(Value, std::to_string(Acked))
+      << "replay lost or double-applied an acknowledged increment";
+  EXPECT_GE(S.pool().health()[0].Replayed, 1u);
+  S.stop();
+}
+
+TEST(ServeJournal, PipelinedCheckpointAndKillCountEachIncrementOnce) {
+  pipelinedCheckpointAndKillCountOnce(false);
+}
+
+TEST(ServeJournal, PipelinedCheckpointAndKillCountOnceWhenTruncationFails) {
+  pipelinedCheckpointAndKillCountOnce(true);
+}
+
 TEST(ServeDrainDeadline, QueuedRequestsGetCleanErrAtTheDrainDeadline) {
   std::string DataDir = makeTempDir();
   ServerConfig Config = testServerConfig(1, DataDir);

@@ -18,7 +18,10 @@ TEST(VKernelTest, RunsProcesses) {
   VKernel K(2);
   std::atomic<int> Ran{0};
   for (int I = 0; I < 4; ++I)
-    K.createProcess("p" + std::to_string(I), [&Ran] { ++Ran; });
+    // Appended, not "p" + std::string: GCC 12 raises a false -Wrestrict
+    // on the inlined insert(0, ...) behind that operator+.
+    K.createProcess(std::string("p").append(std::to_string(I)),
+                    [&Ran] { ++Ran; });
   K.joinAll();
   EXPECT_EQ(Ran.load(), 4);
   EXPECT_EQ(K.numProcesses(), 4u);

@@ -157,4 +157,24 @@ TEST(VirtualMachineTest, DriverRootsAreGcSafe) {
             "keepme");
 }
 
+TEST(VirtualMachineTest, DoItMethodSurvivesFullGcInItsBottomContext) {
+  // Each unique doIt compiles a fresh method into old space that only the
+  // evaluation itself references. With a tiny eden and a trigger re-armed
+  // at the live size, nearly every scavenge runs a full collection, so one
+  // soon lands on the allocation of the doIt's bottom context — which must
+  // keep the method alive.
+  VmConfig C = VmConfig::multiprocessor(1);
+  C.Memory.EdenBytes = 64 * 1024;
+  C.Memory.FullGcThresholdBytes = 64 * 1024;
+  C.Memory.FullGcGrowthFactor = 1.0;
+  TestVm T(C);
+  uint64_t Before = T.vm().memory().fullGcStatsSnapshot().Collections;
+  for (int I = 0; I < 3000; ++I) {
+    auto R = T.vm().evaluate(std::to_string(I) + " + 1");
+    ASSERT_TRUE(R.Ok) << "doIt " << I << ": " << R.Value;
+    ASSERT_EQ(R.Value, std::to_string(I + 1));
+  }
+  EXPECT_GE(T.vm().memory().fullGcStatsSnapshot().Collections, Before + 1);
+}
+
 } // namespace
