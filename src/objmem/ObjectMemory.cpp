@@ -77,10 +77,14 @@ MutatorContext *ObjectMemory::registerMutator(const std::string &Name) {
   M->Name = Name;
   if (!Name.empty())
     setTraceThreadName(Name);
-  std::lock_guard<std::mutex> Guard(MutatorsMutex);
-  M->Id = static_cast<unsigned>(Mutators.size());
-  CurrentMutator = M.get();
-  Mutators.push_back(std::move(M));
+  {
+    std::lock_guard<std::mutex> Guard(MutatorsMutex);
+    M->Id = static_cast<unsigned>(Mutators.size());
+    CurrentMutator = M.get();
+    Mutators.push_back(std::move(M));
+  }
+  // Outside MutatorsMutex: this waits out a stopped world, whose
+  // scavenger takes that mutex to walk the handle stacks.
   Sp.registerMutator(Name.empty()
                          ? "mutator-" + std::to_string(CurrentMutator->Id)
                          : Name);

@@ -39,7 +39,11 @@ Safepoint::MutState *Safepoint::myStateLocked() { return tlsLookup(this); }
 void Safepoint::registerMutator(const std::string &Name) {
   auto State = std::make_unique<MutState>();
   State->Name = Name.empty() ? "mutator" : Name;
-  std::lock_guard<std::mutex> Guard(Mutex);
+  std::unique_lock<std::mutex> Lock(Mutex);
+  // A thread joining while the world is stopped waits for the resume: it
+  // may touch its own per-mutator state (the handle stack the scavenger
+  // walks) before its first poll.
+  Cv.wait(Lock, [this] { return !InProgress; });
   ++Mutators;
   TlsStates.emplace_back(this, State.get());
   States.push_back(std::move(State));

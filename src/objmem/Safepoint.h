@@ -49,7 +49,8 @@ public:
   Safepoint &operator=(const Safepoint &) = delete;
 
   /// Registers the calling thread as a mutator. \p Name labels the thread
-  /// in watchdog reports and the panic mutator table.
+  /// in watchdog reports and the panic mutator table. Waits out a pause
+  /// already in progress, so a new mutator never runs in a stopped world.
   void registerMutator(const std::string &Name = std::string());
 
   /// Unregisters the calling thread. The thread must not be inside a

@@ -67,6 +67,14 @@ public:
         N, std::memory_order_relaxed);
   }
 
+  /// Adds \p N for a counter with one writer at a time — its owner thread,
+  /// or whoever holds the lock guarding it: a relaxed load and store, no
+  /// locked read-modify-write. Readers still see a monotonic total.
+  void addOwned(uint64_t N = 1) {
+    std::atomic<uint64_t> &V = Stripes[0].V;
+    V.store(V.load(std::memory_order_relaxed) + N, std::memory_order_relaxed);
+  }
+
   /// \returns the current total (sum over stripes; racy but monotonic).
   uint64_t value() const {
     uint64_t Sum = 0;

@@ -12,9 +12,12 @@
 /// per-interpreter cut the worst-case overhead from 160% to 65%.
 ///
 /// Both policies are provided so bench_free_contexts can reproduce that
-/// result. Lists hold oops of *dead, never-escaped* contexts; because a
-/// scavenge would otherwise treat stale entries as garbage roots, every
-/// list is flushed at the start of each scavenge (pre-scavenge hook).
+/// result. A replicated list is touched only by its own interpreter (and
+/// by the flush, with the world stopped), so it takes no lock and its
+/// counters are owner-written; the TSan lane checks that claim. Lists
+/// hold oops of *dead, never-escaped* contexts; because a scavenge would
+/// otherwise treat stale entries as garbage roots, every list is flushed
+/// at the start of each scavenge (pre-scavenge hook).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,26 +65,28 @@ public:
   /// are dead objects and must not survive into the next GC cycle.
   void flushAll();
 
-  uint64_t reuses() const { return Reuses.value(); }
-  uint64_t returns() const { return Returns.value(); }
+  uint64_t reuses() const;
+  uint64_t returns() const;
 
 private:
+  /// One pair of size-binned lists and their counters. A Replicated bin
+  /// has one writer, its interpreter; the Shared bin is written only
+  /// under SharedLock. Either way the counters are owner-written.
   struct Bins {
-    explicit Bins(bool LocksEnabled) : Lock(LocksEnabled, "freectx") {}
-    SpinLock Lock;
     std::vector<Oop> Small;
     std::vector<Oop> Large;
+    Counter Reuses{"freectx.reuses"};
+    Counter Returns{"freectx.returns"};
   };
 
-  Bins &binsFor(unsigned InterpId) {
-    return Kind == FreeContextKind::Replicated ? *PerInterp[InterpId]
-                                               : *PerInterp[0];
-  }
+  static Oop takeFrom(Bins &B, uint32_t Slots);
+  static void giveTo(Bins &B, Oop Ctx);
 
   FreeContextKind Kind;
+  /// Serializes the Shared bin. Replicated bins never take it, so its
+  /// lock.freectx.* counters read 0 under that policy.
+  SpinLock SharedLock;
   std::vector<std::unique_ptr<Bins>> PerInterp; // 1 or N
-  Counter Reuses{"freectx.reuses"};
-  Counter Returns{"freectx.returns"};
 };
 
 } // namespace mst

@@ -6,8 +6,10 @@
 
 #include "vm/Interpreter.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 
 #include "obs/Profiler.h"
 #include "obs/Telemetry.h"
@@ -62,32 +64,6 @@ void Interpreter::writeBackIp() {
   CtxH->slots()[CtxIp] = Oop::fromSmallInt(static_cast<intptr_t>(Ip));
 }
 
-void Interpreter::pushValue(Oop V) {
-  ++SpVal;
-  assert(SpVal >= 0 &&
-         static_cast<uint32_t>(SpVal) < CtxH->SlotCount &&
-         "operand stack overflow");
-  CtxH->slots()[SpVal] = V;
-  CtxH->slots()[CtxSp] = Oop::fromSmallInt(SpVal);
-  OM.writeBarrier(CtxH, V);
-}
-
-Oop Interpreter::popValue() {
-  Oop V = CtxH->slots()[SpVal];
-  --SpVal;
-  CtxH->slots()[CtxSp] = Oop::fromSmallInt(SpVal);
-  return V;
-}
-
-Oop Interpreter::topValue(unsigned Down) {
-  return CtxH->slots()[SpVal - static_cast<intptr_t>(Down)];
-}
-
-void Interpreter::dropValues(unsigned N) {
-  SpVal -= static_cast<intptr_t>(N);
-  CtxH->slots()[CtxSp] = Oop::fromSmallInt(SpVal);
-}
-
 /// --- variable access --------------------------------------------------
 
 /// Home-context temps and receiver ivars are shared between interpreters
@@ -108,27 +84,27 @@ static void storeSlotRelease(ObjectHeader *H, uint32_t Idx, Oop V) {
   std::atomic_ref<uintptr_t>(Cell).store(V.bits(), std::memory_order_release);
 }
 
-Oop Interpreter::fetchTemp(unsigned Idx) {
+inline Oop Interpreter::fetchTemp(unsigned Idx) {
   return loadSlotAcquire(HomeH, CtxFixedSlots + Idx);
 }
 
-void Interpreter::storeTempValue(unsigned Idx, Oop V) {
+inline void Interpreter::storeTempValue(unsigned Idx, Oop V) {
   storeSlotRelease(HomeH, CtxFixedSlots + Idx, V);
   OM.writeBarrier(HomeH, V);
 }
 
-Oop Interpreter::receiver() {
+inline Oop Interpreter::receiver() {
   return loadSlotAcquire(HomeH, CtxReceiver);
 }
 
-Oop Interpreter::fetchIvar(unsigned Idx) {
+inline Oop Interpreter::fetchIvar(unsigned Idx) {
   Oop R = receiver();
   assert(R.isPointer() && Idx < R.object()->SlotCount &&
          "instance variable access out of range");
   return loadSlotAcquire(R.object(), Idx);
 }
 
-void Interpreter::storeIvar(unsigned Idx, Oop V) {
+inline void Interpreter::storeIvar(unsigned Idx, Oop V) {
   Oop R = receiver();
   assert(R.isPointer() && Idx < R.object()->SlotCount &&
          "instance variable store out of range");
@@ -159,7 +135,8 @@ Oop Interpreter::allocateContext(uint32_t SlotsNeeded, Oop Cls) {
 /// --- sends -----------------------------------------------------------
 
 void Interpreter::doSend(Oop Selector, unsigned Argc, bool Super) {
-  ++SendCount;
+  SendCount.store(SendCount.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
   Oop Recv = topValue(Argc);
   Oop StartCls;
   if (Super) {
@@ -192,6 +169,92 @@ void Interpreter::doSend(Oop Selector, unsigned Argc, bool Super) {
   activateMethod(Method, Argc);
 }
 
+/// The SmallInteger table behind the special sends, shared by the loop's
+/// inline fast path and doSpecialSend. \returns false when \p S has no
+/// SmallInteger answer for \p X and \p Y (overflow, zero divisor, shift
+/// out of range) and must become a real send. IdentityEq never gets here:
+/// both callers answer it first.
+static inline bool smallIntegerSpecial(const ObjectModel &Om,
+                                       SpecialSelector S, intptr_t X,
+                                       intptr_t Y, Oop &Result) {
+  switch (S) {
+  case SpecialSelector::Add: {
+    intptr_t R = X + Y;
+    Result = Oop::fromSmallInt(R);
+    return fitsSmallInt(R);
+  }
+  case SpecialSelector::Subtract: {
+    intptr_t R = X - Y;
+    Result = Oop::fromSmallInt(R);
+    return fitsSmallInt(R);
+  }
+  case SpecialSelector::Multiply:
+    // Conservative overflow guard for the immediate multiply.
+    if (X != 0 && (std::abs(X) > (SmallIntMax / std::abs(Y ? Y : 1))))
+      return false;
+    Result = Oop::fromSmallInt(X * Y);
+    return true;
+  case SpecialSelector::IntDivide: {
+    if (Y == 0)
+      return false;
+    // Floored division.
+    intptr_t Q = X / Y;
+    if ((X % Y != 0) && ((X < 0) != (Y < 0)))
+      --Q;
+    Result = Oop::fromSmallInt(Q);
+    return true;
+  }
+  case SpecialSelector::Modulo: {
+    if (Y == 0)
+      return false;
+    intptr_t R = X % Y;
+    if (R != 0 && ((R < 0) != (Y < 0)))
+      R += Y;
+    Result = Oop::fromSmallInt(R);
+    return true;
+  }
+  case SpecialSelector::Less:
+    Result = Om.boolFor(X < Y);
+    return true;
+  case SpecialSelector::Greater:
+    Result = Om.boolFor(X > Y);
+    return true;
+  case SpecialSelector::LessEq:
+    Result = Om.boolFor(X <= Y);
+    return true;
+  case SpecialSelector::GreaterEq:
+    Result = Om.boolFor(X >= Y);
+    return true;
+  case SpecialSelector::Equal:
+    Result = Om.boolFor(X == Y);
+    return true;
+  case SpecialSelector::NotEqual:
+    Result = Om.boolFor(X != Y);
+    return true;
+  case SpecialSelector::BitAnd:
+    Result = Oop::fromSmallInt(X & Y);
+    return true;
+  case SpecialSelector::BitOr:
+    Result = Oop::fromSmallInt(X | Y);
+    return true;
+  case SpecialSelector::BitShift:
+    if (Y >= 0 && Y < 48) {
+      intptr_t R = X << Y;
+      Result = Oop::fromSmallInt(R);
+      return fitsSmallInt(R) && (R >> Y) == X;
+    }
+    if (Y < 0 && Y > -64) {
+      Result = Oop::fromSmallInt(X >> -Y);
+      return true;
+    }
+    return false;
+  case SpecialSelector::IdentityEq:
+  case SpecialSelector::NumSpecialSelectors:
+    break;
+  }
+  MST_UNREACHABLE("identity is answered before the SmallInteger table");
+}
+
 void Interpreter::doSpecialSend(SpecialSelector S) {
   Oop B = topValue(0);
   Oop A = topValue(1);
@@ -203,98 +266,12 @@ void Interpreter::doSpecialSend(SpecialSelector S) {
     return;
   }
 
-  if (A.isSmallInt() && B.isSmallInt()) {
-    intptr_t X = A.smallInt(), Y = B.smallInt();
-    bool Ok = true;
-    Oop Result;
-    switch (S) {
-    case SpecialSelector::Add: {
-      intptr_t R = X + Y;
-      Ok = fitsSmallInt(R);
-      Result = Oop::fromSmallInt(R);
-      break;
-    }
-    case SpecialSelector::Subtract: {
-      intptr_t R = X - Y;
-      Ok = fitsSmallInt(R);
-      Result = Oop::fromSmallInt(R);
-      break;
-    }
-    case SpecialSelector::Multiply: {
-      // Conservative overflow guard for the immediate multiply.
-      if (X != 0 && (std::abs(X) > (SmallIntMax / std::abs(Y ? Y : 1))))
-        Ok = false;
-      else
-        Result = Oop::fromSmallInt(X * Y);
-      break;
-    }
-    case SpecialSelector::IntDivide: {
-      if (Y == 0) {
-        Ok = false;
-        break;
-      }
-      // Floored division.
-      intptr_t Q = X / Y;
-      if ((X % Y != 0) && ((X < 0) != (Y < 0)))
-        --Q;
-      Result = Oop::fromSmallInt(Q);
-      break;
-    }
-    case SpecialSelector::Modulo: {
-      if (Y == 0) {
-        Ok = false;
-        break;
-      }
-      intptr_t R = X % Y;
-      if (R != 0 && ((R < 0) != (Y < 0)))
-        R += Y;
-      Result = Oop::fromSmallInt(R);
-      break;
-    }
-    case SpecialSelector::Less:
-      Result = Om.boolFor(X < Y);
-      break;
-    case SpecialSelector::Greater:
-      Result = Om.boolFor(X > Y);
-      break;
-    case SpecialSelector::LessEq:
-      Result = Om.boolFor(X <= Y);
-      break;
-    case SpecialSelector::GreaterEq:
-      Result = Om.boolFor(X >= Y);
-      break;
-    case SpecialSelector::Equal:
-      Result = Om.boolFor(X == Y);
-      break;
-    case SpecialSelector::NotEqual:
-      Result = Om.boolFor(X != Y);
-      break;
-    case SpecialSelector::BitAnd:
-      Result = Oop::fromSmallInt(X & Y);
-      break;
-    case SpecialSelector::BitOr:
-      Result = Oop::fromSmallInt(X | Y);
-      break;
-    case SpecialSelector::BitShift:
-      if (Y >= 0 && Y < 48) {
-        intptr_t R = X << Y;
-        Ok = fitsSmallInt(R) && (R >> Y) == X;
-        Result = Oop::fromSmallInt(R);
-      } else if (Y < 0 && Y > -64) {
-        Result = Oop::fromSmallInt(X >> -Y);
-      } else {
-        Ok = false;
-      }
-      break;
-    case SpecialSelector::IdentityEq:
-    case SpecialSelector::NumSpecialSelectors:
-      MST_UNREACHABLE("handled above");
-    }
-    if (Ok) {
-      dropValues(2);
-      pushValue(Result);
-      return;
-    }
+  Oop Result;
+  if (A.isSmallInt() && B.isSmallInt() &&
+      smallIntegerSpecial(Om, S, A.smallInt(), B.smallInt(), Result)) {
+    dropValues(2);
+    pushValue(Result);
+    return;
   }
   // Fall back to a real send of the mapped selector.
   doSend(Om.known().SpecialSelectors[static_cast<size_t>(S)],
@@ -496,197 +473,306 @@ bool traceEnabled() {
   static bool Enabled = std::getenv("MST_TRACE") != nullptr;
   return Enabled;
 }
+
+/// The special sends the SendSpecial handler answers inline for two
+/// SmallIntegers: + - < > <= >= =. The rest go through doSpecialSend.
+constexpr uint32_t specialBit(SpecialSelector S) {
+  return 1u << static_cast<unsigned>(S);
+}
+constexpr uint32_t InlineSpecials =
+    specialBit(SpecialSelector::Add) | specialBit(SpecialSelector::Subtract) |
+    specialBit(SpecialSelector::Less) | specialBit(SpecialSelector::Greater) |
+    specialBit(SpecialSelector::LessEq) |
+    specialBit(SpecialSelector::GreaterEq) |
+    specialBit(SpecialSelector::Equal);
+
+/// Bytecodes between deadline and processor-time checks.
+constexpr uint64_t CadenceBytecodes = 512;
 } // namespace
 
+// The loop is threaded: every handler ends by jumping straight to the
+// next bytecode's handler, so a simple bytecode costs one table jump. The
+// slice's checks — trace, safepoint, shutdown, abort, budget, deadline,
+// processor time — run only at *control points*: slice entry, a taken
+// backward jump, and after every send, return and BlockCopy (which also
+// test the Finished/FlagBlocked/FlagYield flags those bytecodes can set).
+// Every loop the compiler inlines ends in a backward jump and every
+// unbounded recursion sends, so each check still runs within a stretch of
+// straight-line code.
 RunResult Interpreter::interpretSlice(uint64_t MaxBytecodes) {
+  // Handler addresses indexed by opcode, in Op order. Compiled code comes
+  // only from CodeGen (images are CRC-checked), so every opcode is valid.
+  static const void *const Handlers[] = {
+      &&DoPushSelf,    &&DoPushNil,      &&DoPushTrue,
+      &&DoPushFalse,   &&DoPushThisContext,
+      &&DoPushTemp,    &&DoPushInstVar,  &&DoPushLiteral,
+      &&DoPushGlobal,  &&DoPushSmallInt,
+      &&DoStoreTemp,   &&DoStoreInstVar, &&DoStoreGlobal,
+      &&DoPop,         &&DoDup,
+      &&DoJump,        &&DoJumpIf,       &&DoJumpIf,
+      &&DoSend,        &&DoSendSuper,    &&DoSendSpecial,
+      &&DoBlockCopy,
+      &&DoReturnTop,   &&DoReturnSelf,   &&DoBlockReturn,
+  };
+  static_assert(std::size(Handlers) ==
+                    static_cast<size_t>(Op::BlockReturn) + 1,
+                "one handler per opcode, in Op order");
+
   reloadFrame();
   Safepoint &Sp = OM.safepoint();
+  // Bytecodes completed in this slice; added to BytecodeCount on exit.
   uint64_t Executed = 0;
+  uint64_t NextCadence = CadenceBytecodes;
   // Time-based preemption: a Process that buries its slice inside long
   // primitives still yields within TimesliceMicros of processor time
   // (the timer interrupt of real hardware). Only armed for real slices.
   const bool TimedSlice = MaxBytecodes != UINT64_MAX;
   const uint64_t SliceBudgetUs = VM.config().TimesliceMicros;
   const uint64_t SliceStartUs = TimedSlice ? threadCpuMicros() : 0;
+  const Oop TrueObj = Om.known().TrueObj;
+  const Oop FalseObj = Om.known().FalseObj;
+  auto Leave = [&](RunResult R) {
+    BytecodeCount.store(
+        BytecodeCount.load(std::memory_order_relaxed) + Executed,
+        std::memory_order_relaxed);
+    return R;
+  };
 
-  for (;;) {
-    if (traceEnabled()) {
-      Oop Sel = ObjectMemory::fetchPointer(CurMethod, MthSelector);
-      std::fprintf(stderr, "[i%u] %s sp=%ld %s\n", Id,
-                   ObjectModel::stringValue(Sel).c_str(),
-                   static_cast<long>(SpVal),
-                   disassembleOne(Code, Ip).c_str());
-    }
-    if (Sp.pollNeeded()) {
-      writeBackIp();
-      Sp.pollSlow();
-      reloadFrame();
-    }
-    if (VM.stopping()) {
-      writeBackIp();
-      return RunResult::Stopping;
-    }
-    if (AbortFlag.load(std::memory_order_acquire)) {
-      AbortFlag.store(false, std::memory_order_relaxed);
+  // Tracing sends every bytecode through the control point, which prints
+  // it before running it.
+  const bool Trace = traceEnabled();
+  const void *TraceTable[std::size(Handlers)];
+  const void *const *Dispatch = Handlers;
+  if (Trace) {
+    std::fill(std::begin(TraceTable), std::end(TraceTable), &&TraceStep);
+    Dispatch = TraceTable;
+  }
+
+  // The handlers run on register copies of the frame cache's Ip and Code:
+  // Pc and Bytes. Control points store Pc back to Ip; a handler that
+  // calls out stores it first, and AfterCall reloads both, since a send
+  // or return changes frames.
+  uint32_t Pc = Ip;
+  const uint8_t *Bytes = Code;
+
+  // NEXT ends a simple bytecode; CONTROL_POINT ends a taken backward
+  // jump; AFTER_CALL ends a bytecode that can finish, block or yield the
+  // Process. Handlers are entered with Pc past their opcode byte.
+#define NEXT()                                                                 \
+  do {                                                                         \
+    ++Executed;                                                                \
+    goto *Dispatch[Bytes[Pc++]];                                               \
+  } while (0)
+#define CONTROL_POINT()                                                        \
+  do {                                                                         \
+    ++Executed;                                                                \
+    goto ControlPoint;                                                         \
+  } while (0)
+#define AFTER_CALL()                                                           \
+  do {                                                                         \
+    ++Executed;                                                                \
+    goto AfterCall;                                                            \
+  } while (0)
+
+  goto ControlPoint;
+
+AfterCall:
+  Pc = Ip;
+  Bytes = Code;
+  if (Finished)
+    return Leave(RunResult::Terminated);
+  if (FlagBlocked) {
+    FlagBlocked = false;
+    return Leave(RunResult::Blocked);
+  }
+  if (FlagYield) {
+    FlagYield = false;
+    writeBackIp();
+    return Leave(RunResult::Yielded);
+  }
+  goto ControlPoint;
+
+TraceStep:
+  --Pc; // back onto the opcode byte NEXT stepped past
+ControlPoint:
+  Ip = Pc;
+  if (Trace) {
+    Oop Sel = ObjectMemory::fetchPointer(CurMethod, MthSelector);
+    std::fprintf(stderr, "[i%u] %s sp=%ld %s\n", Id,
+                 ObjectModel::stringValue(Sel).c_str(),
+                 static_cast<long>(SpVal), disassembleOne(Code, Ip).c_str());
+  }
+  if (Sp.pollNeeded()) {
+    writeBackIp();
+    Sp.pollSlow();
+    reloadFrame();
+    Pc = Ip;
+    Bytes = Code;
+  }
+  if (VM.stopping()) {
+    writeBackIp();
+    return Leave(RunResult::Stopping);
+  }
+  if (AbortFlag.load(std::memory_order_acquire)) {
+    AbortFlag.store(false, std::memory_order_relaxed);
+    Aborted = true;
+    writeBackIp();
+    vmError("RequestTimeout: execution aborted by watchdog");
+    return Leave(RunResult::Terminated);
+  }
+  if (Executed >= MaxBytecodes) {
+    writeBackIp();
+    return Leave(RunResult::Yielded);
+  }
+  if (Executed >= NextCadence) {
+    NextCadence = Executed + CadenceBytecodes;
+    // The deadline is armed even for untimed (driver) slices: a serve
+    // request runs as one runToCompletion call, and this is the only
+    // place a runaway `[true] whileTrue.` can be caught in-VM.
+    if (DeadlineNs != 0 && Telemetry::nowNs() >= DeadlineNs) {
       Aborted = true;
       writeBackIp();
-      vmError("RequestTimeout: execution aborted by watchdog");
-      return RunResult::Terminated;
+      vmError("RequestTimeout: request exceeded its deadline");
+      return Leave(RunResult::Terminated);
     }
-    if (++Executed > MaxBytecodes) {
+    if (TimedSlice && threadCpuMicros() - SliceStartUs > SliceBudgetUs) {
       writeBackIp();
-      return RunResult::Yielded;
-    }
-    if ((Executed & 511) == 0) {
-      // The deadline is armed even for untimed (driver) slices: a serve
-      // request runs as one runToCompletion call, and this is the only
-      // place a runaway `[true] whileTrue.` can be caught in-VM.
-      if (DeadlineNs != 0 && Telemetry::nowNs() >= DeadlineNs) {
-        Aborted = true;
-        writeBackIp();
-        vmError("RequestTimeout: request exceeded its deadline");
-        return RunResult::Terminated;
-      }
-      if (TimedSlice &&
-          threadCpuMicros() - SliceStartUs > SliceBudgetUs) {
-        writeBackIp();
-        return RunResult::Yielded;
-      }
-    }
-    ++BytecodeCount;
-
-    Op O = static_cast<Op>(Code[Ip++]);
-    switch (O) {
-    case Op::PushSelf:
-      pushValue(receiver());
-      break;
-    case Op::PushNil:
-      pushValue(Om.nil());
-      break;
-    case Op::PushTrue:
-      pushValue(Om.known().TrueObj);
-      break;
-    case Op::PushFalse:
-      pushValue(Om.known().FalseObj);
-      break;
-    case Op::PushThisContext:
-      CtxH->setEscaped();
-      pushValue(Roots.ActiveContext);
-      break;
-    case Op::PushTemp:
-      pushValue(fetchTemp(Code[Ip++]));
-      break;
-    case Op::PushInstVar:
-      pushValue(fetchIvar(Code[Ip++]));
-      break;
-    case Op::PushLiteral: {
-      Oop Lits = ObjectMemory::fetchPointer(CurMethod, MthLiterals);
-      pushValue(Lits.object()->slots()[Code[Ip++]]);
-      break;
-    }
-    case Op::PushGlobal: {
-      Oop Lits = ObjectMemory::fetchPointer(CurMethod, MthLiterals);
-      Oop Assoc = Lits.object()->slots()[Code[Ip++]];
-      pushValue(ObjectMemory::fetchPointer(Assoc, AssocValue));
-      break;
-    }
-    case Op::PushSmallInt:
-      pushValue(Oop::fromSmallInt(static_cast<int8_t>(Code[Ip++])));
-      break;
-    case Op::StoreTemp:
-      storeTempValue(Code[Ip++], topValue());
-      break;
-    case Op::StoreInstVar:
-      storeIvar(Code[Ip++], topValue());
-      break;
-    case Op::StoreGlobal: {
-      Oop Lits = ObjectMemory::fetchPointer(CurMethod, MthLiterals);
-      Oop Assoc = Lits.object()->slots()[Code[Ip++]];
-      OM.storePointer(Assoc, AssocValue, topValue());
-      break;
-    }
-    case Op::Pop:
-      dropValues(1);
-      break;
-    case Op::Dup:
-      pushValue(topValue());
-      break;
-    case Op::Jump: {
-      int16_t Off = static_cast<int16_t>(Code[Ip] | (Code[Ip + 1] << 8));
-      Ip = static_cast<uint32_t>(static_cast<intptr_t>(Ip) + 2 + Off);
-      break;
-    }
-    case Op::JumpIfTrue:
-    case Op::JumpIfFalse: {
-      int16_t Off = static_cast<int16_t>(Code[Ip] | (Code[Ip + 1] << 8));
-      Ip += 2;
-      Oop Cond = popValue();
-      bool Taken;
-      if (Cond == Om.known().TrueObj)
-        Taken = O == Op::JumpIfTrue;
-      else if (Cond == Om.known().FalseObj)
-        Taken = O == Op::JumpIfFalse;
-      else {
-        vmError("mustBeBoolean: conditional jump on " + Om.describe(Cond));
-        break;
-      }
-      if (Taken)
-        Ip = static_cast<uint32_t>(static_cast<intptr_t>(Ip) + Off);
-      break;
-    }
-    case Op::Send: {
-      uint8_t LitIdx = Code[Ip++];
-      uint8_t Argc = Code[Ip++];
-      Oop Lits = ObjectMemory::fetchPointer(CurMethod, MthLiterals);
-      Oop Selector = Lits.object()->slots()[LitIdx];
-      doSend(Selector, Argc, /*Super=*/false);
-      break;
-    }
-    case Op::SendSuper: {
-      uint8_t LitIdx = Code[Ip++];
-      uint8_t Argc = Code[Ip++];
-      Oop Lits = ObjectMemory::fetchPointer(CurMethod, MthLiterals);
-      Oop Selector = Lits.object()->slots()[LitIdx];
-      doSend(Selector, Argc, /*Super=*/true);
-      break;
-    }
-    case Op::SendSpecial:
-      doSpecialSend(static_cast<SpecialSelector>(Code[Ip++]));
-      break;
-    case Op::BlockCopy: {
-      uint8_t NumArgs = Code[Ip];
-      uint8_t Frame = Code[Ip + 1];
-      uint16_t Skip =
-          static_cast<uint16_t>(Code[Ip + 2] | (Code[Ip + 3] << 8));
-      Ip += 4;
-      uint32_t BodyStart = Ip;
-      doBlockCopy(NumArgs, Frame);
-      Ip = BodyStart + Skip;
-      break;
-    }
-    case Op::ReturnTop:
-      doReturn(popValue(), /*BlockReturn=*/false);
-      break;
-    case Op::ReturnSelf:
-      doReturn(receiver(), /*BlockReturn=*/false);
-      break;
-    case Op::BlockReturn:
-      doReturn(popValue(), /*BlockReturn=*/true);
-      break;
-    }
-
-    if (Finished)
-      return RunResult::Terminated;
-    if (FlagBlocked) {
-      FlagBlocked = false;
-      return RunResult::Blocked;
-    }
-    if (FlagYield) {
-      FlagYield = false;
-      writeBackIp();
-      return RunResult::Yielded;
+      return Leave(RunResult::Yielded);
     }
   }
+  goto *Handlers[Bytes[Pc++]];
+
+DoPushSelf:
+  pushValue(receiver());
+  NEXT();
+DoPushNil:
+  pushValue(Om.nil());
+  NEXT();
+DoPushTrue:
+  pushValue(TrueObj);
+  NEXT();
+DoPushFalse:
+  pushValue(FalseObj);
+  NEXT();
+DoPushThisContext:
+  CtxH->setEscaped();
+  pushValue(Roots.ActiveContext);
+  NEXT();
+DoPushTemp:
+  pushValue(fetchTemp(Bytes[Pc++]));
+  NEXT();
+DoPushInstVar:
+  pushValue(fetchIvar(Bytes[Pc++]));
+  NEXT();
+DoPushLiteral: {
+  Oop Lits = ObjectMemory::fetchPointer(CurMethod, MthLiterals);
+  pushValue(Lits.object()->slots()[Bytes[Pc++]]);
+  NEXT();
+}
+DoPushGlobal: {
+  Oop Lits = ObjectMemory::fetchPointer(CurMethod, MthLiterals);
+  Oop Assoc = Lits.object()->slots()[Bytes[Pc++]];
+  pushValue(ObjectMemory::fetchPointer(Assoc, AssocValue));
+  NEXT();
+}
+DoPushSmallInt:
+  pushValue(Oop::fromSmallInt(static_cast<int8_t>(Bytes[Pc++])));
+  NEXT();
+DoStoreTemp:
+  storeTempValue(Bytes[Pc++], topValue());
+  NEXT();
+DoStoreInstVar:
+  storeIvar(Bytes[Pc++], topValue());
+  NEXT();
+DoStoreGlobal: {
+  Oop Lits = ObjectMemory::fetchPointer(CurMethod, MthLiterals);
+  Oop Assoc = Lits.object()->slots()[Bytes[Pc++]];
+  OM.storePointer(Assoc, AssocValue, topValue());
+  NEXT();
+}
+DoPop:
+  dropValues(1);
+  NEXT();
+DoDup:
+  pushValue(topValue());
+  NEXT();
+DoJump: {
+  int16_t Off = static_cast<int16_t>(Bytes[Pc] | (Bytes[Pc + 1] << 8));
+  Pc = static_cast<uint32_t>(static_cast<intptr_t>(Pc) + 2 + Off);
+  if (Off < 0)
+    CONTROL_POINT();
+  NEXT();
+}
+DoJumpIf: {
+  bool IfTrue = static_cast<Op>(Bytes[Pc - 1]) == Op::JumpIfTrue;
+  int16_t Off = static_cast<int16_t>(Bytes[Pc] | (Bytes[Pc + 1] << 8));
+  Pc += 2;
+  Oop Cond = popValue();
+  if (Cond != TrueObj && Cond != FalseObj) {
+    Ip = Pc;
+    vmError("mustBeBoolean: conditional jump on " + Om.describe(Cond));
+    AFTER_CALL();
+  }
+  if ((Cond == TrueObj) != IfTrue)
+    NEXT();
+  Pc = static_cast<uint32_t>(static_cast<intptr_t>(Pc) + Off);
+  if (Off < 0)
+    CONTROL_POINT();
+  NEXT();
+}
+DoSend:
+DoSendSuper: {
+  bool Super = static_cast<Op>(Bytes[Pc - 1]) == Op::SendSuper;
+  uint8_t LitIdx = Bytes[Pc++];
+  uint8_t Argc = Bytes[Pc++];
+  Oop Lits = ObjectMemory::fetchPointer(CurMethod, MthLiterals);
+  Ip = Pc;
+  doSend(Lits.object()->slots()[LitIdx], Argc, Super);
+  AFTER_CALL();
+}
+DoSendSpecial: {
+  auto S = static_cast<SpecialSelector>(Bytes[Pc++]);
+  Oop B = topValue(0);
+  Oop A = topValue(1);
+  Oop Result;
+  if ((InlineSpecials & specialBit(S)) && A.isSmallInt() &&
+      B.isSmallInt() &&
+      smallIntegerSpecial(Om, S, A.smallInt(), B.smallInt(), Result)) {
+    dropValues(2);
+    pushValue(Result);
+    NEXT();
+  }
+  Ip = Pc;
+  doSpecialSend(S);
+  AFTER_CALL();
+}
+DoBlockCopy: {
+  uint8_t NumArgs = Bytes[Pc];
+  uint8_t Frame = Bytes[Pc + 1];
+  uint16_t Skip = static_cast<uint16_t>(Bytes[Pc + 2] | (Bytes[Pc + 3] << 8));
+  uint32_t BodyStart = Pc + 4;
+  // doBlockCopy records Ip as the block's initial ip.
+  Ip = BodyStart;
+  doBlockCopy(NumArgs, Frame);
+  Ip = BodyStart + Skip;
+  AFTER_CALL();
+}
+DoReturnTop:
+  Ip = Pc;
+  doReturn(popValue(), /*BlockReturn=*/false);
+  AFTER_CALL();
+DoReturnSelf:
+  Ip = Pc;
+  doReturn(receiver(), /*BlockReturn=*/false);
+  AFTER_CALL();
+DoBlockReturn:
+  Ip = Pc;
+  doReturn(popValue(), /*BlockReturn=*/true);
+  AFTER_CALL();
+
+#undef NEXT
+#undef CONTROL_POINT
+#undef AFTER_CALL
 }
 
 /// --- process plumbing -------------------------------------------------

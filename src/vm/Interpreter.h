@@ -22,6 +22,7 @@
 #define MST_VM_INTERPRETER_H
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -71,19 +72,27 @@ public:
 
   InterpreterRoots &roots() { return Roots; }
 
-  uint64_t bytecodesExecuted() const { return BytecodeCount; }
-  uint64_t sendsExecuted() const { return SendCount; }
+  /// Bytecodes run so far; a slice adds its count when it ends. Both
+  /// counts may be read from any thread (statistics, panic dumps).
+  uint64_t bytecodesExecuted() const {
+    return BytecodeCount.load(std::memory_order_relaxed);
+  }
+  uint64_t sendsExecuted() const {
+    return SendCount.load(std::memory_order_relaxed);
+  }
 
   /// --- asynchronous abort / deadlines -----------------------------------
   ///
   /// A watchdog on another thread can abort whatever this interpreter is
-  /// running: requestAbort() arms a flag the bytecode loop checks at the
-  /// same per-bytecode poll as the safepoint/stopping checks. The next
-  /// poll unwinds the running execution with a catchable RequestTimeout
-  /// error (heap and scheduler stay consistent — the abort only ever
-  /// fires at a bytecode boundary). The release store pairs with the
-  /// loop's acquire load; no other ordering is required because the abort
-  /// carries no payload, only the edge.
+  /// running: requestAbort() arms a flag the bytecode loop checks at its
+  /// control points — slice entry, a taken backward jump, and after each
+  /// send, return and BlockCopy — next to the safepoint and stopping
+  /// checks. The next control point unwinds the running execution with a
+  /// catchable RequestTimeout error (heap and scheduler stay consistent —
+  /// the abort only ever fires at a bytecode boundary, and every loop
+  /// reaches a control point at its backward jump). The release store
+  /// pairs with the loop's acquire load; no other ordering is required
+  /// because the abort carries no payload, only the edge.
   void requestAbort() {
     AbortFlag.store(true, std::memory_order_release);
   }
@@ -96,10 +105,10 @@ public:
   }
 
   /// Arms (non-zero) or disarms (0) an absolute deadline, in
-  /// Telemetry::nowNs time. Checked every 512 bytecodes even in untimed
-  /// driver slices; on expiry the execution unwinds exactly like
-  /// requestAbort(). Owner-thread only (the driver arms its own deadline
-  /// before running a request).
+  /// Telemetry::nowNs time. Checked at the first control point after
+  /// each 512 bytecodes, even in untimed driver slices; on expiry the
+  /// execution unwinds exactly like requestAbort(). Owner-thread only
+  /// (the driver arms its own deadline before running a request).
   void setDeadlineNs(uint64_t Ns) { DeadlineNs = Ns; }
 
   /// True — and self-clearing — when the last execution was unwound by
@@ -182,9 +191,40 @@ private:
   uint64_t DeadlineNs = 0;
   bool Aborted = false;
 
-  uint64_t BytecodeCount = 0;
-  uint64_t SendCount = 0;
+  // Written only by the interpreter's own thread: a relaxed load and
+  // store, never a locked read-modify-write.
+  std::atomic<uint64_t> BytecodeCount{0};
+  std::atomic<uint64_t> SendCount{0};
 };
+
+// The operand-stack helpers run on nearly every bytecode, so they live
+// here for inlining into the loop and the primitives.
+
+inline void Interpreter::pushValue(Oop V) {
+  ++SpVal;
+  assert(SpVal >= 0 &&
+         static_cast<uint32_t>(SpVal) < CtxH->SlotCount &&
+         "operand stack overflow");
+  CtxH->slots()[SpVal] = V;
+  CtxH->slots()[CtxSp] = Oop::fromSmallInt(SpVal);
+  OM.writeBarrier(CtxH, V);
+}
+
+inline Oop Interpreter::popValue() {
+  Oop V = CtxH->slots()[SpVal];
+  --SpVal;
+  CtxH->slots()[CtxSp] = Oop::fromSmallInt(SpVal);
+  return V;
+}
+
+inline Oop Interpreter::topValue(unsigned Down) {
+  return CtxH->slots()[SpVal - static_cast<intptr_t>(Down)];
+}
+
+inline void Interpreter::dropValues(unsigned N) {
+  SpVal -= static_cast<intptr_t>(N);
+  CtxH->slots()[CtxSp] = Oop::fromSmallInt(SpVal);
+}
 
 } // namespace mst
 

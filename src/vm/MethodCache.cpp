@@ -6,6 +6,7 @@
 
 #include "vm/MethodCache.h"
 
+#include "objmem/Safepoint.h"
 #include "support/Assert.h"
 #include "vkernel/Delay.h"
 
@@ -49,66 +50,83 @@ MethodCache::MethodCache(MethodCacheKind Kind, unsigned NumInterpreters,
   unsigned N = Kind == MethodCacheKind::Replicated ? NumInterpreters : 1;
   assert(N > 0 && "need at least one cache table");
   for (unsigned I = 0; I < N; ++I)
-    Tables.push_back(std::make_unique<MethodCacheTable>());
+    Tables.push_back(std::make_unique<Replica>());
 }
 
 bool MethodCache::lookup(unsigned InterpId, Oop Cls, Oop Selector,
                          Oop &Method, Oop &DefiningClass) {
-  const MethodCacheTable::Entry *E = nullptr;
   if (Kind == MethodCacheKind::Replicated) {
     assert(InterpId < Tables.size() && "interpreter id out of range");
-    E = Tables[InterpId]->lookup(Cls, Selector);
-  } else {
-    GlobalLock.lockShared();
-    E = Tables[0]->lookup(Cls, Selector);
-    if (E) {
-      // Copy out under the read lock; the entry may be overwritten after
-      // we release it.
+    Replica &R = *Tables[InterpId];
+    if (const MethodCacheTable::Entry *E = R.Table.lookup(Cls, Selector)) {
       Method = E->Method;
       DefiningClass = E->DefiningClass;
-      GlobalLock.unlockShared();
-      Stats.Hits.add();
+      R.Stats.Hits.addOwned();
       return true;
     }
-    GlobalLock.unlockShared();
-    Stats.Misses.add();
-    Stats.MissGlobal.add();
+    R.Stats.Misses.addOwned();
+    R.Stats.MissReplicated.addOwned();
     return false;
   }
-  if (E) {
+  Replica &R = *Tables[0];
+  GlobalLock.lockShared();
+  if (const MethodCacheTable::Entry *E = R.Table.lookup(Cls, Selector)) {
+    // Copy out under the read lock; the entry may be overwritten after
+    // we release it.
     Method = E->Method;
     DefiningClass = E->DefiningClass;
-    Stats.Hits.add();
+    GlobalLock.unlockShared();
+    R.Stats.Hits.add();
     return true;
   }
-  Stats.Misses.add();
-  Stats.MissReplicated.add();
+  GlobalLock.unlockShared();
+  R.Stats.Misses.add();
+  R.Stats.MissGlobal.add();
   return false;
 }
 
 void MethodCache::insert(unsigned InterpId, Oop Cls, Oop Selector,
                          Oop Method, Oop DefiningClass) {
   if (Kind == MethodCacheKind::Replicated) {
-    Tables[InterpId]->insert(Cls, Selector, Method, DefiningClass);
+    Tables[InterpId]->Table.insert(Cls, Selector, Method, DefiningClass);
     return;
   }
   GlobalLock.lockExclusive();
-  Tables[0]->insert(Cls, Selector, Method, DefiningClass);
+  Tables[0]->Table.insert(Cls, Selector, Method, DefiningClass);
   GlobalLock.unlockExclusive();
 }
 
 void MethodCache::flushAll() {
-  // Called with the world stopped (scavenge hook) or from the installer
-  // thread; exclusive access either way.
+  // Called with the world stopped (scavenge hook, snapshot); exclusive
+  // access either way.
   GlobalLock.lockExclusive();
-  for (auto &T : Tables)
-    T->clear();
+  for (auto &R : Tables)
+    R->Table.clear();
   GlobalLock.unlockExclusive();
 }
 
 void MethodCache::flushSelector(Oop Selector) {
-  GlobalLock.lockExclusive();
-  for (auto &T : Tables)
-    T->removeSelector(Selector);
-  GlobalLock.unlockExclusive();
+  if (Kind == MethodCacheKind::GlobalLocked) {
+    GlobalLock.lockExclusive();
+    Tables[0]->Table.removeSelector(Selector);
+    GlobalLock.unlockExclusive();
+    return;
+  }
+  // Retry until this thread coordinates a pause of its own, as
+  // ObjectMemory::scavengeNow does: a pause another thread ran meanwhile
+  // need not have flushed anything.
+  if (FlushSafepoint)
+    while (!FlushSafepoint->requestStopTheWorld()) {
+    }
+  for (auto &R : Tables)
+    R->Table.removeSelector(Selector);
+  if (FlushSafepoint)
+    FlushSafepoint->resume();
+}
+
+uint64_t MethodCache::sum(Counter MethodCacheStats::*Field) const {
+  uint64_t N = 0;
+  for (const auto &R : Tables)
+    N += (R->Stats.*Field).value();
+  return N;
 }

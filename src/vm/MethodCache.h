@@ -124,13 +124,16 @@ private:
 /// down by cache kind. Exactly one per-kind counter is bumped alongside
 /// every Misses bump, so methodcache.misses ==
 /// methodcache.miss.replicated + methodcache.miss.global always holds —
-/// the selector-keyed miss profile can cross-check against either.
+/// the selector-keyed miss profile can cross-check against either. Each
+/// table has its own set; the registry sums them by name.
 struct MethodCacheStats {
   Counter Hits{"methodcache.hits"};
   Counter Misses{"methodcache.misses"};
   Counter MissReplicated{"methodcache.miss.replicated"};
   Counter MissGlobal{"methodcache.miss.global"};
 };
+
+class Safepoint;
 
 /// The cache facade used by interpreters. Holds either one shared locked
 /// table or one table per interpreter.
@@ -157,18 +160,40 @@ public:
   void flushAll();
 
   /// Flushes entries for \p Selector in every table (method install).
+  /// Replicated tables are read and written by their owners without a
+  /// lock, so once stopWorldToFlush() has named a safepoint the removal
+  /// runs with the world stopped — a GC point for the caller, who must
+  /// hold no cached heap pointers across it. Before that (bootstrap, a
+  /// VM with no workers) the caller is the only user of the tables.
   void flushSelector(Oop Selector);
 
-  uint64_t hits() const { return Stats.Hits.value(); }
-  uint64_t misses() const { return Stats.Misses.value(); }
-  uint64_t missesReplicated() const { return Stats.MissReplicated.value(); }
-  uint64_t missesGlobal() const { return Stats.MissGlobal.value(); }
+  /// Makes later flushSelector() calls stop the world through \p Sp.
+  /// VirtualMachine::startInterpreters calls it before the first worker
+  /// runs.
+  void stopWorldToFlush(Safepoint &Sp) { FlushSafepoint = &Sp; }
+
+  uint64_t hits() const { return sum(&MethodCacheStats::Hits); }
+  uint64_t misses() const { return sum(&MethodCacheStats::Misses); }
+  uint64_t missesReplicated() const {
+    return sum(&MethodCacheStats::MissReplicated);
+  }
+  uint64_t missesGlobal() const { return sum(&MethodCacheStats::MissGlobal); }
 
 private:
+  /// One table and its counters. A Replicated table has one writer, its
+  /// interpreter, so its counters are owner-written; the GlobalLocked
+  /// cache's single table is counted by concurrent readers.
+  struct Replica {
+    MethodCacheTable Table;
+    MethodCacheStats Stats;
+  };
+
+  uint64_t sum(Counter MethodCacheStats::*Field) const;
+
   MethodCacheKind Kind;
   RwSpinLock GlobalLock;
-  std::vector<std::unique_ptr<MethodCacheTable>> Tables; // 1 or N
-  MethodCacheStats Stats;
+  std::vector<std::unique_ptr<Replica>> Tables; // 1 or N
+  Safepoint *FlushSafepoint = nullptr;
 };
 
 } // namespace mst

@@ -520,12 +520,15 @@ Interpreter::PrimResult Interpreter::dispatchPrimitive(int Index,
     std::string Source = ObjectModel::stringValue(Src);
     writeBackIp();
     CompileResult R = compileMethodSource(Om, Target, Source);
+    // Installing may stop the world to flush the replicated method caches,
+    // so the frame is reloaded only after it.
+    if (R.ok())
+      installMethod(Om, &VM.cache(), Target, R.Method);
     reloadFrame();
     if (!R.ok()) {
       VM.logError("compile error: " + R.Error);
       return Replace(Nil);
     }
-    installMethod(Om, &VM.cache(), Target, R.Method);
     return Replace(ObjectMemory::fetchPointer(R.Method, MthSelector));
   }
 

@@ -127,6 +127,9 @@ void VirtualMachine::setLowSpaceSemaphore(Oop Sem) {
 void VirtualMachine::startInterpreters() {
   assert(!WorkersStarted && "interpreters already started");
   WorkersStarted = true;
+  // Workers read their replicated cache tables without a lock; from now
+  // on a method install flushes them with the world stopped.
+  Cache->stopWorldToFlush(OM->safepoint());
   for (auto &W : Workers) {
     Interpreter *I = W.get();
     Kernel.createProcess("interpreter-" + std::to_string(I->id()),

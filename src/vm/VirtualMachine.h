@@ -144,14 +144,16 @@ public:
 
   /// evaluate() with an absolute deadline (Telemetry::nowNs time, 0 =
   /// none). When the deadline expires mid-run the execution unwinds with
-  /// a RequestTimeout error at the next bytecode boundary and the result
-  /// reports TimedOut. Driver-thread only, like evaluate().
+  /// a RequestTimeout error at the interpreter's next control point (a
+  /// taken backward jump, or after a send, return or BlockCopy) and the
+  /// result reports TimedOut. Driver-thread only, like evaluate().
   EvalResult evalWithDeadline(const std::string &Source,
                               uint64_t DeadlineNs);
 
   /// Arms the driver interpreter's asynchronous abort: whatever the
   /// driver is evaluating unwinds with a RequestTimeout error at its
-  /// next poll. Safe from any thread (the shard deadline watchdog).
+  /// next control point. Safe from any thread (the shard deadline
+  /// watchdog).
   void requestAbort();
 
   /// Drops a pending driver abort that was never consumed (the victim
